@@ -43,12 +43,10 @@ struct ClusterConfig {
   /// 1 = the paper's single MM.
   std::size_t mm_shards = 1;
 
-  /// PDES execution shards (sim/pdes.hpp): 1 = the serial event heap; K > 1
-  /// partitions RMs (machine-aligned, with their ThrottleGroup/BlockDevice
-  /// co-owners) and clients into K conservative sub-queues with lookahead
-  /// windows derived from the network latency floor. Event commit order —
-  /// and therefore every metric, trace and table — is byte-identical to
-  /// serial at any value; only throughput changes.
+  /// Must be 1; Cluster::build rejects any other value. The sharded event
+  /// engine this selected is gone (the simulator has one event queue), but
+  /// the field stays because the benchmark's workload driver still assigns
+  /// it. It goes at the next change to the benchmark.
   std::size_t exec_shards = 1;
 
   core::AllocationMode mode = core::AllocationMode::kFirm;

@@ -32,9 +32,10 @@ struct ExperimentParams {
   dfs::NegotiationModel negotiation = dfs::NegotiationModel::kEcnp;
   std::uint64_t seed = 1;
 
-  /// PDES execution shards (ClusterConfig::exec_shards): 1 = the serial
-  /// event heap; K > 1 runs the conservative sharded engine. Every metric is
-  /// byte-identical at any value — only intra-run throughput changes.
+  /// Copied into ClusterConfig::exec_shards, so any value other than 1 fails
+  /// the cluster build (invalid_argument) and aborts the run. Kept only
+  /// because the benchmark's workload driver still assigns it; it goes at
+  /// the next change to the benchmark.
   std::size_t shards = 1;
 
   /// Paper defaults; override for ablations.

@@ -37,6 +37,22 @@ TEST(ClusterBuild, RejectsOverDispatchedMachine) {
   EXPECT_FALSE(Cluster::build(cfg, sqos::testing::tiny_catalog()).is_ok());
 }
 
+TEST(ClusterBuild, RejectsExecShardsOtherThanOne) {
+  // The sharded engine is gone; the field survives only for the benchmark's
+  // workload driver, so a value that once selected it must fail loudly.
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+    ClusterConfig cfg = sqos::testing::small_cluster_config();
+    cfg.exec_shards = shards;
+    const auto r = Cluster::build(cfg, sqos::testing::tiny_catalog());
+    ASSERT_FALSE(r.is_ok()) << "exec_shards=" << shards;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("exec_shards must be 1"), std::string::npos);
+  }
+  ClusterConfig cfg = sqos::testing::small_cluster_config();
+  cfg.exec_shards = 1;
+  EXPECT_TRUE(Cluster::build(cfg, sqos::testing::tiny_catalog()).is_ok());
+}
+
 TEST(ClusterBuild, WiresComponents) {
   auto cluster = sqos::testing::make_small_cluster();
   EXPECT_EQ(cluster->rm_count(), 3u);

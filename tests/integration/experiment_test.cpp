@@ -25,6 +25,12 @@ TEST(Experiment, AccountingBalances) {
   EXPECT_EQ(r.per_rm[15].name, "RM16");
 }
 
+TEST(Experiment, ShardsOtherThanOneAbortsTheClusterBuild) {
+  ExperimentParams p = small(16, core::AllocationMode::kFirm);
+  p.shards = 4;
+  EXPECT_DEATH((void)run_experiment(p), "cluster build failed: .*exec_shards must be 1");
+}
+
 TEST(Experiment, FirmModeNeverOverallocates) {
   const ExperimentResult r = run_experiment(small(128, core::AllocationMode::kFirm));
   EXPECT_DOUBLE_EQ(r.overallocate_ratio, 0.0);

@@ -60,41 +60,105 @@ TEST(ReferenceModel, EventQueueMatchesMultimapModel) {
   std::vector<std::uint64_t> issued;  // every id ever returned, live or stale
   Rng rng{7};
   std::uint64_t seq = 0;  // mirrors the queue's internal push counter
+  std::int64_t last_popped = 0;
 
+  const auto push = [&](std::int64_t t) {
+    const sim::EventId id = queue.push(SimTime::micros(t), [] {});
+    const std::uint64_t raw = sim::to_underlying(id);
+    ASSERT_EQ(by_id.count(raw), 0u) << "queue reissued a live id";
+    by_id.emplace(raw, model.emplace(std::make_pair(t, seq), raw));
+    issued.push_back(raw);
+    ++seq;
+  };
+  const auto pop = [&] {
+    sim::Event out;
+    const bool got = queue.pop(out);
+    ASSERT_EQ(got, !model.empty());
+    if (!got) return;
+    const auto expected = model.begin();
+    ASSERT_EQ(out.time.as_micros(), expected->first.first);
+    ASSERT_EQ(out.seq, expected->first.second);
+    ASSERT_EQ(sim::to_underlying(out.id), expected->second);
+    last_popped = out.time.as_micros();
+    by_id.erase(expected->second);
+    model.erase(expected);
+  };
+  const auto cancel = [&] {  // a random previously issued (possibly stale) id
+    const std::uint64_t target = issued[rng.next_below(issued.size())];
+    const auto it = by_id.find(target);
+    const bool cancelled = queue.cancel(sim::EventId{target});
+    ASSERT_EQ(cancelled, it != by_id.end());
+    if (it != by_id.end()) {
+      model.erase(it->second);
+      by_id.erase(it);
+    }
+  };
+  const auto check = [&] {
+    ASSERT_EQ(queue.size(), model.size());
+    ASSERT_EQ(queue.next_time().as_micros(),
+              model.empty() ? SimTime::max().as_micros() : model.begin()->first.first);
+    ASSERT_TRUE(queue.conserved());
+  };
+
+  // Phase 1: every time inside [0, 1000) us — one tick, so the near heap
+  // alone orders everything.
   for (int step = 0; step < 30'000; ++step) {
     const double op = rng.next_double();
-    if (op < 0.5 || issued.empty()) {  // push
-      const std::int64_t t = static_cast<std::int64_t>(rng.next_below(1000));
-      const sim::EventId id = queue.push(SimTime::micros(t), [] {});
-      const std::uint64_t raw = sim::to_underlying(id);
-      ASSERT_EQ(by_id.count(raw), 0u) << "queue reissued a live id";
-      by_id.emplace(raw, model.emplace(std::make_pair(t, seq), raw));
-      issued.push_back(raw);
-      ++seq;
-    } else if (op < 0.8) {  // pop
-      sim::Event out;
-      const bool got = queue.pop(out);
-      ASSERT_EQ(got, !model.empty());
-      if (got) {
-        const auto expected = model.begin();
-        ASSERT_EQ(out.time.as_micros(), expected->first.first);
-        ASSERT_EQ(out.seq, expected->first.second);
-        ASSERT_EQ(sim::to_underlying(out.id), expected->second);
-        by_id.erase(expected->second);
-        model.erase(expected);
-      }
-    } else {  // cancel a random previously issued (possibly stale) id
-      const std::uint64_t target = issued[rng.next_below(issued.size())];
-      const auto it = by_id.find(target);
-      const bool cancelled = queue.cancel(sim::EventId{target});
-      ASSERT_EQ(cancelled, it != by_id.end());
-      if (it != by_id.end()) {
-        model.erase(it->second);
-        by_id.erase(it);
-      }
+    if (op < 0.5 || issued.empty()) {
+      push(static_cast<std::int64_t>(rng.next_below(1000)));
+    } else if (op < 0.8) {
+      pop();
+    } else {
+      cancel();
     }
-    ASSERT_EQ(queue.size(), model.size());
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
   }
+
+  // Phase 2: times spanning the near heap, the ring and the overflow heap
+  // (more than kRingBuckets ticks ahead), exact tick boundaries, same-time
+  // ties, pushes below the horizon, and far pushes into an empty queue.
+  // Fill and drain spells alternate, so pops cross runs of empty buckets.
+  constexpr std::int64_t kTick = std::int64_t{1} << sim::EventQueue::kTickShift;
+  constexpr auto kRing = static_cast<std::int64_t>(sim::EventQueue::kRingBuckets);
+  const auto span = [&rng](std::int64_t lo, std::int64_t hi) {  // uniform in [lo, hi)
+    return lo + static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(hi - lo)));
+  };
+  std::vector<std::int64_t> pushed_times;
+  const auto pick_time = [&]() -> std::int64_t {
+    const std::int64_t base = last_popped;
+    const double kind = rng.next_double();
+    if (model.empty() && kind < 0.5) return base + span(kRing + 1, 3 * kRing) * kTick;
+    if (kind < 0.25) return base + span(0, 2 * kTick);                      // near
+    if (kind < 0.50) return base + span(1, kRing) * kTick + span(0, kTick);  // ring
+    if (kind < 0.60) return base + span(kRing + 1, 3 * kRing) * kTick;       // overflow
+    if (kind < 0.75 && !pushed_times.empty()) {                             // tie
+      return pushed_times[rng.next_below(pushed_times.size())];
+    }
+    if (kind < 0.85) return (base / kTick + span(0, 4)) * kTick;  // tick boundary
+    return span(0, base + 1);  // anywhere up to now: mostly below the horizon
+  };
+  for (int step = 0; step < 60'000; ++step) {
+    const bool draining = (step / 3'000) % 2 == 1;
+    const double op = rng.next_double();
+    if (op < (draining ? 0.15 : 0.6) || issued.empty()) {
+      const std::int64_t t = pick_time();
+      pushed_times.push_back(t);
+      push(t);
+    } else if (op < (draining ? 0.9 : 0.85)) {
+      pop();
+    } else {
+      cancel();
+    }
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  while (!model.empty()) {
+    pop();
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(queue.empty());
 }
 
 // -------------------------------------------------------- BandwidthLedger --

@@ -78,7 +78,7 @@ TEST(DomainGuard, CrossDomainWriteReportsObjectAndActiveTags) {
 }
 
 TEST(DomainGuard, SameDomainForeignShardIsAViolation) {
-  // RM 1 writing RM 2's state is exactly the aliasing PDES must forbid —
+  // RM 1 writing RM 2's state is exactly the aliasing the domains forbid —
   // the static pass cannot see instance identity, the guard can.
   HandlerScope h;
   SQOS_DOMAIN_SCOPE(DomainTag::rm(1));

@@ -1,9 +1,9 @@
 // sqos_domain_check — static enforcement of the shard-ownership contract.
 //
-// ROADMAP item 2 (conservative PDES) will partition the simulation into
-// shards: per-RM state, per-client state, and the global services. The
-// rewrite is safe only if today's single-threaded code already respects the
-// shard boundaries — every cross-domain touch must flow through a declared
+// The simulation's state splits into shards: per-RM state, per-client
+// state, and the global services. Any work that cuts along those boundaries
+// (crash/recovery of one component, a partitioned engine) is safe only if
+// the code respects them — every cross-domain touch must flow through a declared
 // exchange channel (the network send path, the scheduler API, the marked
 // replication/controller endpoints). This pass proves that property
 // statically, the same way sqos_lint proves the determinism contract: a

@@ -9,11 +9,9 @@
 //      metric drifted, or a baseline metric disappeared; goal=info metrics
 //      — wall times, jobs counts, speedups — never gate and may come and go)
 //
-// meta entries are never compared: like meta.jobs, meta.shards (the PDES
-// execution-shard count) only describes how the run was executed. Both knobs
-// are exempt from cross-gating by construction — the exact cells they
-// produce are byte-identical at every value, so a baseline recorded at one
-// jobs/shards setting gates runs at any other.
+// meta entries are never compared: meta.jobs only describes how the run was
+// executed. The exact cells are byte-identical at every jobs value, so a
+// baseline recorded at one jobs setting gates runs at any other.
 //   2  usage error / unreadable current run
 //
 // Flags (defaults in brackets):

@@ -17,9 +17,6 @@
 //   gc=0|1          [0]       replica garbage collection
 //   gc_idle=S       [600]     GC idle threshold, seconds
 //   shards=N        [1]       MM shards on the DHT ring
-//   pdes=N          [1]       PDES execution shards (1 = serial event heap;
-//                             any N produces byte-identical output — only
-//                             intra-run throughput changes)
 //   cache_ttl=S     [0]       client holder-cache TTL, seconds (0 = off)
 //   layout=replication|ec:k,m [replication]  storage layout; ec stripes every
 //                             file as k data + m parity shards and reads
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
     cluster.holder_cache_ttl = SimTime::seconds(cache_ttl);
     params.cluster = cluster;
   }
-  params.shards = static_cast<std::size_t>(cfg.get_int("pdes", 1));
 
   const auto seeds = static_cast<std::size_t>(cfg.get_int("seeds", 1));
   const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 1));
