@@ -7,19 +7,40 @@
 
 #include "check/op_fuzzer.hpp"
 #include "exp/experiment.hpp"
+#include "storage/stripe_layout.hpp"
 
 namespace sqos {
 namespace {
 
 TEST(DeterminismGolden, FuzzRunReproducesEventCount) {
-  check::FuzzOptions options;
-  options.seed = 101;
-  options.op_count = 2000;
-  options.audit_every = 4;
-  options.with_faults = true;
-  const check::FuzzResult result = check::OpFuzzer{options}.run();
-  EXPECT_EQ(result.violations.size(), 0u);
-  EXPECT_EQ(result.executed_events, 13059u);
+  // One pinned input per corpus the CI fuzz jobs run: replication, EC(4,2)
+  // striped reads on 6 RMs, and a 3-tenant population. Each exercises the
+  // client's read, write and explicit-session negotiations under faults.
+  struct Pinned {
+    std::uint64_t seed;
+    std::size_t rm_count;
+    storage::LayoutPolicy layout;
+    std::size_t tenant_count;
+    std::uint64_t events;
+  };
+  const Pinned inputs[] = {
+      {101, 4, storage::LayoutPolicy{}, 0, 13059u},
+      {404, 6, storage::LayoutPolicy::erasure(4, 2), 0, 49279u},
+      {505, 4, storage::LayoutPolicy{}, 3, 12165u},
+  };
+  for (const Pinned& in : inputs) {
+    check::FuzzOptions options;
+    options.seed = in.seed;
+    options.op_count = 2000;
+    options.audit_every = 4;
+    options.with_faults = true;
+    options.rm_count = in.rm_count;
+    options.layout = in.layout;
+    options.tenant_count = in.tenant_count;
+    const check::FuzzResult result = check::OpFuzzer{options}.run();
+    EXPECT_EQ(result.violations.size(), 0u) << "seed " << in.seed;
+    EXPECT_EQ(result.executed_events, in.events) << "seed " << in.seed;
+  }
 }
 
 TEST(DeterminismGolden, SoftExperimentReproducesTableCells) {
