@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
   // readdir -> the MM resource-list query.
   std::printf("$ ls /dfs\n");
-  vfs.readdir([](std::vector<std::string> names) {
-    for (const auto& n : names) std::printf("  %s\n", n.c_str());
+  vfs.readdir([](const Result<std::vector<std::string>>& names) {
+    for (const auto& n : names.value()) std::printf("  %s\n", n.c_str());
   });
   cluster.simulator().run();
 
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
               cluster.mm().replica_count(vfs.getattr("upload.mp4").value().id));
 
   std::printf("\n$ ls /dfs   (the new file is visible)\n");
-  vfs.readdir([](std::vector<std::string> names) {
-    for (const auto& n : names) std::printf("  %s\n", n.c_str());
+  vfs.readdir([](const Result<std::vector<std::string>>& names) {
+    for (const auto& n : names.value()) std::printf("  %s\n", n.c_str());
   });
   cluster.simulator().run();
   return 0;

@@ -144,9 +144,7 @@ Status Cluster::construct() {
     }
     params.mode = config_.mode;
     params.policy = config_.policy;
-    params.negotiation = config_.negotiation == NegotiationModel::kEcnp
-                             ? DfsClient::Negotiation::kEcnp
-                             : DfsClient::Negotiation::kCnp;
+    params.negotiation = config_.negotiation;
     params.bid_timeout = config_.bid_timeout;
     params.holder_cache_ttl = config_.holder_cache_ttl;
     params.layout = config_.layout;

@@ -1,24 +1,36 @@
 // Distributed File System Client — the ECNP Requester (§III.A).
 //
-// Drives the three-phase resource-management flow for every access:
-//   1. resource exploration — query the MM for the replica holders;
-//   2. resource negotiation — CFP fan-out, collect every RM's bid, evaluate
-//      with the configured (α, β, γ) selection policy;
-//   3. data communication — allocate on the winner and stream.
-//
-// A plain-CNP mode (broadcast the CFP to every registered RM, no matchmaker
-// query) exists for the ECNP-traffic ablation.
+// Every access runs one negotiation engine, the paper's three-phase flow:
+//   1. resource exploration — query the MM (holders, placement candidates
+//      or stripe layout) under a deadline;
+//   2. resource negotiation — CFP fan-out, bid collection under a deadline
+//      (missing bids count as refusals), then a selection rule;
+//   3. data communication — allocate on the chosen RMs, each request under
+//      a data-phase deadline.
+// A negotiation's kind supplies only its exploration query, its selection
+// rule and its completion rule. The three selection rules:
+//   - read (and explicit sessions): a single winner through the policy's
+//     selection tree;
+//   - write: the top-K admissible bids by policy score (random order under
+//     the random policy), failing over to the next-ranked candidate when a
+//     copy is rejected;
+//   - EC read: the best admissible bid per shard, then k shards taking data
+//     shards first (any parity shard makes the read degraded).
+// Plain CNP (broadcast the CFP to every registered RM, no matchmaker query)
+// exists for the ECNP-traffic ablation; write sessions always broadcast.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/admission.hpp"
 #include "core/qos_types.hpp"
 #include "core/selection_policy.hpp"
+#include "dfs/cluster_config.hpp"
 #include "dfs/ecnp_messages.hpp"
 #include "dfs/file_types.hpp"
 #include "dfs/mm_directory.hpp"
@@ -45,13 +57,11 @@ namespace sqos::dfs {
 
 class SQOS_DOMAIN(client) DfsClient {
  public:
-  enum class Negotiation : std::uint8_t { kEcnp, kCnp };
-
   struct Params {
     std::string name;  // "DFSC1" ..
     core::AllocationMode mode = core::AllocationMode::kFirm;
     core::PolicyWeights policy;
-    Negotiation negotiation = Negotiation::kEcnp;
+    NegotiationModel negotiation = NegotiationModel::kEcnp;
     /// Negotiation deadline: bids not received by then are treated as
     /// refusals (a crashed RM must not hang every open that CFPs it — the
     /// matchmaker's resource list can be stale, §II).
@@ -86,6 +96,8 @@ class SQOS_DOMAIN(client) DfsClient {
   /// Completion of a whole streamed access (or of the open, for explicit
   /// sessions). The Status conveys firm-mode open failure.
   using Callback = std::function<void(const Status&)>;
+  using Opened = std::function<void(Result<std::uint64_t>)>;
+  using HoldersReply = std::function<void(Result<std::vector<net::NodeId>>)>;
 
   DfsClient(net::NodeId id, Params params, sim::Simulator& simulator, net::Network& network,
             MetadataDirectory& mm, const FileDirectory& directory, Rng rng);
@@ -134,13 +146,13 @@ class SQOS_DOMAIN(client) DfsClient {
   // --- explicit sessions (VFS adapter) ---------------------------------------
 
   /// Negotiate and allocate; on success `opened` receives a session handle.
-  void open(FileId file, std::function<void(Result<std::uint64_t>)> opened);
+  void open(FileId file, Opened opened);
 
   /// Negotiate an explicit *write* session for a freshly registered file:
   /// the winner reserves disk space and write bandwidth; data is paced by
   /// the caller (VFS write()) and the replica becomes durable at
   /// release_write(fd, true).
-  void open_write(FileId file, std::function<void(Result<std::uint64_t>)> opened);
+  void open_write(FileId file, Opened opened);
 
   /// Free the allocation of an explicit session.
   void release(std::uint64_t session);
@@ -150,8 +162,10 @@ class SQOS_DOMAIN(client) DfsClient {
   /// reservation.
   void release_write(std::uint64_t session, bool commit);
 
-  /// Resource-exploration query used by readdir: holders of `file`.
-  void query_holders(FileId file, std::function<void(std::vector<net::NodeId>)> reply);
+  /// Resource-exploration query used by readdir: holders of `file`. Runs the
+  /// exploration step alone, under the same deadline as every negotiation:
+  /// an unreachable matchmaker answers unavailable instead of never.
+  void query_holders(FileId file, HoldersReply reply);
 
   // --- metrics ---------------------------------------------------------------
 
@@ -185,80 +199,68 @@ class SQOS_DOMAIN(client) DfsClient {
   }
 
  private:
-  struct OpenContext {
-    FileId file = 0;
-    Bandwidth required;
-    SimTime started;                   // negotiation-latency measurement
-    bool explicit_session = false;
-    bool write_session = false;
-    std::size_t expected_bids = 0;
-    std::vector<BidMsg> bids;
+  /// What a negotiation is for. The kind picks the exploration query, the
+  /// selection rule and the completion rule; everything else is shared.
+  enum class Kind : std::uint8_t {
+    kRead,          // streamed whole-file read
+    kSession,       // explicit read session (VFS open)
+    kWriteSession,  // explicit write session (VFS create)
+    kWrite,         // replicated write_file
+    kEcRead,        // striped read under an EC layout
+    kHolders,       // bare resource-list query (readdir): exploration only
+  };
+
+  /// A bid tagged with the slot it answers: the shard index of an EC read,
+  /// 0 for every other kind.
+  struct SlotBid {
+    BidMsg bid;
+    std::uint32_t slot = 0;
+  };
+
+  /// One in-flight negotiation of any kind.
+  struct Negotiation {
+    Kind kind = Kind::kRead;
     bool evaluated = false;            // bids already scored (late bids drop)
-    sim::EventId timeout_event{};      // pending bid-timeout event
-    Callback done;                                   // streamed access
-    std::function<void(Result<std::uint64_t>)> opened;  // explicit session
-  };
-
-  struct WriteContext {
-    FileId file = 0;
-    Bandwidth required;
-    Bytes size;
-    SimTime started;                   // write-path latency measurement
-    std::size_t replicas = 1;
-    std::size_t expected_bids = 0;
-    std::vector<BidMsg> bids;
-    bool evaluated = false;
-    sim::EventId timeout_event{};
-    std::vector<BidMsg> ranked;        // admissible candidates, best first
-    std::size_t next_candidate = 0;    // failover cursor into `ranked`
-    std::size_t pending_writes = 0;
-    std::size_t succeeded = 0;
-    Callback done;
-  };
-
-  /// One in-flight striped read. Bids arrive per shard (the CFP closure
-  /// carries the shard index); the read dispatches k parallel sub-streams
-  /// and completes when all of them finish.
-  struct EcReadContext {
-    FileId file = 0;
-    std::uint8_t k = 0;
+    std::uint8_t k = 0;                // EC stripe shape
     std::uint8_t m = 0;
-    Bandwidth shard_rate;              // file bitrate / k
-    SimTime started;
-    std::size_t expected_bids = 0;
-    std::size_t received_bids = 0;
-    std::vector<std::vector<BidMsg>> shard_bids;  // indexed by shard
-    bool evaluated = false;
-    sim::EventId timeout_event{};
-    std::size_t pending_shards = 0;    // dispatched sub-streams outstanding
-    bool parity_used = false;          // any chosen shard index >= k
-    bool shard_failed = false;         // a dispatched sub-stream was rejected
-    Callback done;
+    bool parity_used = false;          // EC: a chosen shard index >= k
+    bool shard_failed = false;         // EC: a dispatched sub-stream was rejected
+    std::uint32_t expected_bids = 0;   // CFPs sent; 0 until exploration ends
+    FileId file = 0;                   // base file id
+    Bandwidth required;                // per-target rate (EC: bitrate / k)
+    SimTime started;                   // negotiation-latency measurement
+    sim::EventId timeout_event{};      // pending exploration or bid deadline
+    /// Bids in arrival order. A write re-filters and ranks them in place at
+    /// selection, after which they are its failover order.
+    std::vector<SlotBid> bids;
+    std::uint32_t replicas = 0;        // write: copies requested
+    std::uint32_t next_candidate = 0;  // write: failover cursor into `bids`
+    std::uint32_t pending = 0;         // write copies / EC sub-streams in flight
+    std::uint32_t succeeded = 0;       // write: copies landed
+    std::variant<Callback, Opened, HoldersReply> reply;
   };
 
-  void stream_striped(FileId file, Callback done);
-  void on_layout(std::uint64_t ec_id, const LayoutReplyMsg& reply);
-  void on_ec_bid(std::uint64_t ec_id, std::size_t shard, const BidMsg& bid);
-  void evaluate_ec_bids(std::uint64_t ec_id);
-  void dispatch_ec_shard(std::uint64_t ec_id, std::size_t shard, net::NodeId target);
-  void on_ec_shard_complete(std::uint64_t ec_id, bool accepted);
-  void fail_ec_read(std::uint64_t ec_id, const Status& status);
-
-  void on_write_candidates(std::uint64_t write_id, const ReplicaListReplyMsg& reply);
-  void on_write_bid(std::uint64_t write_id, const BidMsg& bid);
-  void evaluate_write_bids(std::uint64_t write_id);
-  void dispatch_write(std::uint64_t write_id, net::NodeId target);
-  void on_write_complete(std::uint64_t write_id, net::NodeId rm, const DataCompleteMsg& msg);
-  void finish_write(std::uint64_t write_id);
-
-  void start_negotiation(std::uint64_t open_id, OpenContext ctx);
-  void on_holders(std::uint64_t open_id, const std::vector<net::NodeId>& holders);
-  void send_cfps(std::uint64_t open_id, const std::vector<net::NodeId>& holders);
-  void on_bid(std::uint64_t open_id, const BidMsg& bid);
-  void on_bid_timeout(std::uint64_t open_id);
-  void evaluate_bids(std::uint64_t open_id);
-  void on_data_complete(std::uint64_t open_id, const DataCompleteMsg& msg);
-  void fail_open(std::uint64_t open_id, const Status& status);
+  std::uint64_t begin(Kind kind, FileId file, decltype(Negotiation::reply) reply);
+  void explore(std::uint64_t id);
+  void on_explore_timeout(std::uint64_t id);
+  Negotiation* explored(std::uint64_t id);
+  void on_holders(std::uint64_t id, const std::vector<net::NodeId>& holders);
+  void on_write_candidates(std::uint64_t id, const ReplicaListReplyMsg& reply);
+  void on_layout(std::uint64_t id, const LayoutReplyMsg& reply);
+  void bid_for_holders(std::uint64_t id, const std::vector<net::NodeId>& holders);
+  template <typename TargetAt>
+  void send_cfps(std::uint64_t id, std::size_t count, TargetAt target_at);
+  void on_bid(std::uint64_t id, std::uint32_t slot, const BidMsg& bid);
+  void on_bid_timeout(std::uint64_t id);
+  void evaluate(std::uint64_t id);
+  void select_read(std::uint64_t id, Negotiation& ng);
+  void select_write(std::uint64_t id, Negotiation& ng);
+  void select_ec(std::uint64_t id, Negotiation& ng);
+  [[nodiscard]] DataRequestMsg data_request(std::uint64_t id, const Negotiation& ng) const;
+  void dispatch(net::NodeId target, const DataRequestMsg& request, SimTime expected);
+  void on_data_complete(std::uint64_t id, net::NodeId target, bool accepted);
+  void on_write_copy_done(std::uint64_t id);
+  void finish(std::uint64_t id, const Status& status);
 
   [[nodiscard]] ResourceManager* rm_by_node(net::NodeId id) const;
 
@@ -298,14 +300,13 @@ class SQOS_DOMAIN(client) DfsClient {
     sim::EventId retry{};
   };
 
+  void end_session(std::uint64_t session, bool commit);
   void send_release(std::uint64_t session);
   void on_release_ack(std::uint64_t session);
 
   // Flat small maps, not unordered_map: a client has a handful of in-flight
   // entries but fields lookups on every delivered message (util/small_map.hpp).
-  util::SmallU64Map<OpenContext> opens_;
-  util::SmallU64Map<WriteContext> writes_;
-  util::SmallU64Map<EcReadContext> ec_reads_;
+  util::SmallU64Map<Negotiation> negotiations_;
   util::SmallU64Map<SessionInfo> sessions_;  // open_id -> serving RM
   util::SmallU64Map<PendingRelease> pending_releases_;
   std::unordered_map<FileId, CachedHolders> holder_cache_;

@@ -13,12 +13,17 @@ Result<FileMeta> VfsAdapter::getattr(const std::string& path) const {
   return *meta;
 }
 
-void VfsAdapter::readdir(std::function<void(std::vector<std::string>)> reply) {
+void VfsAdapter::readdir(std::function<void(Result<std::vector<std::string>>)> reply) {
   // The readdir resource-list query travels to the MM and back like any
   // other exploration-phase message; reuse the client's query plumbing with
   // a sentinel file id of 0 for traffic accounting, then enumerate the MM's
   // known files at delivery time.
-  client_.query_holders(0, [this, reply = std::move(reply)](const std::vector<net::NodeId>&) {
+  client_.query_holders(0, [this, reply = std::move(reply)](
+                               Result<std::vector<net::NodeId>> holders) {
+    if (!holders.is_ok()) {
+      reply(holders.status());
+      return;
+    }
     std::vector<std::string> names;
     for (const FileId f : mm_.known_files()) {
       if (directory_.contains(f)) names.push_back(directory_.get(f).name);

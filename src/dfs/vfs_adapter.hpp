@@ -33,8 +33,9 @@ class SQOS_DOMAIN(client) VfsAdapter {
   [[nodiscard]] Result<FileMeta> getattr(const std::string& path) const;
 
   /// readdir: the names of every file the MM knows a replica for. Performs
-  /// the MM resource-list round trip like the paper's readdir.
-  void readdir(std::function<void(std::vector<std::string>)> reply);
+  /// the MM resource-list round trip like the paper's readdir; unavailable
+  /// when the matchmaker does not answer within the negotiation deadline.
+  void readdir(std::function<void(Result<std::vector<std::string>>)> reply);
 
   /// open: negotiate + allocate bandwidth for `path`; yields a descriptor.
   void open(const std::string& path, std::function<void(Result<std::uint64_t>)> opened);

@@ -146,7 +146,8 @@ TEST_F(DfsClientTest, QueryHoldersRoundTrip) {
   place(0, 3);
   place(2, 3);
   std::vector<net::NodeId> holders;
-  cluster_->client(0).query_holders(3, [&](std::vector<net::NodeId> h) { holders = std::move(h); });
+  cluster_->client(0).query_holders(
+      3, [&](Result<std::vector<net::NodeId>> h) { holders = h.value(); });
   cluster_->simulator().run();
   ASSERT_EQ(holders.size(), 2u);
 }

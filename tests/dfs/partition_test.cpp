@@ -2,6 +2,7 @@
 // every protocol leg must recover through its own deadline rather than hang.
 #include <gtest/gtest.h>
 
+#include "dfs/vfs_adapter.hpp"
 #include "testing/test_cluster.hpp"
 
 namespace sqos::dfs {
@@ -104,6 +105,36 @@ TEST_F(PartitionTest, WritePathSurvivesMatchmakerPartition) {
   ASSERT_TRUE(called);
   EXPECT_EQ(result.code(), StatusCode::kUnavailable);
   EXPECT_EQ(cluster_->mm().replica_count(100), 0u);
+}
+
+TEST_F(PartitionTest, ReaddirFailsCleanlyAcrossMatchmakerPartition) {
+  build();
+  ASSERT_TRUE(cluster_->place_replica(0, 1).is_ok());
+  VfsAdapter vfs{cluster_->client(0), cluster_->mm(), cluster_->directory(),
+                 cluster_->simulator()};
+  cluster_->network().set_link_down(cluster_->client(0).node_id(), mm_node());
+
+  int calls = 0;
+  Status result;
+  vfs.readdir([&](const Result<std::vector<std::string>>& names) {
+    ++calls;
+    result = names.status();
+  });
+  cluster_->simulator().run();
+  ASSERT_EQ(calls, 1) << "readdir must not hang across a matchmaker partition";
+  EXPECT_EQ(result.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(cluster_->client(0).counters().bid_timeouts, 1u);
+
+  // Healing the partition restores the listing.
+  cluster_->network().set_link_up(cluster_->client(0).node_id(), mm_node());
+  std::vector<std::string> listed;
+  vfs.readdir([&](const Result<std::vector<std::string>>& names) {
+    ASSERT_TRUE(names.is_ok());
+    listed = names.value();
+  });
+  cluster_->simulator().run();
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0], "file-1");
 }
 
 TEST_F(PartitionTest, RmCutFromMatchmakerDuringReplication) {

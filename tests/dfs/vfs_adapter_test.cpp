@@ -32,7 +32,7 @@ TEST_F(VfsAdapterTest, GetattrReturnsMetadata) {
 
 TEST_F(VfsAdapterTest, ReaddirListsReplicatedFiles) {
   std::vector<std::string> names;
-  adapter_->readdir([&](std::vector<std::string> n) { names = std::move(n); });
+  adapter_->readdir([&](Result<std::vector<std::string>> n) { names = n.value(); });
   cluster_->simulator().run();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "file-1");

@@ -188,14 +188,14 @@ TEST_F(VfsWriteTest, DestroyReleasesEverything) {
 TEST_F(VfsWriteTest, ReaddirSeesCommittedFileOnly) {
   const std::uint64_t fd = create_file("new-video");
   std::vector<std::string> names;
-  adapter_->readdir([&](std::vector<std::string> n) { names = std::move(n); });
+  adapter_->readdir([&](Result<std::vector<std::string>> n) { names = n.value(); });
   cluster_->simulator().run();
   EXPECT_TRUE(names.empty());  // not committed yet
 
   write_fully(fd);
   adapter_->release(fd);
   cluster_->simulator().run();
-  adapter_->readdir([&](std::vector<std::string> n) { names = std::move(n); });
+  adapter_->readdir([&](Result<std::vector<std::string>> n) { names = n.value(); });
   cluster_->simulator().run();
   ASSERT_EQ(names.size(), 1u);
   EXPECT_EQ(names[0], "new-video");
