@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -57,8 +56,14 @@ void DfsClient::query_holders(FileId file, HoldersReply reply) {
 }
 
 std::uint64_t DfsClient::begin(Kind kind, FileId file, decltype(Negotiation::reply) reply) {
-  const std::uint64_t id = next_open_id_++;
-  Negotiation ng;
+  const std::uint64_t id = negotiations_.open();
+  Negotiation& ng = negotiations_.at(id);
+  // A recycled record keeps its bid capacity, so send_cfps's reserve
+  // allocates nothing once the pool is warm.
+  std::vector<SlotBid> bids = std::move(ng.bids);
+  bids.clear();
+  ng = Negotiation{};
+  ng.bids = std::move(bids);
   ng.kind = kind;
   ng.file = file;
   if (kind != Kind::kHolders) {
@@ -71,7 +76,6 @@ std::uint64_t DfsClient::begin(Kind kind, FileId file, decltype(Negotiation::rep
   }
   ng.started = sim_.now();
   ng.reply = std::move(reply);
-  negotiations_.emplace(id, std::move(ng));
   return id;
 }
 
@@ -139,9 +143,10 @@ void DfsClient::explore(std::uint64_t id) {
     default:
       net_.send(id_, mm_node, net::MessageKind::kResourceQuery,
                 ResourceQueryMsg::estimated_size(), [this, &shard, mm_node, id, file] {
-                  const ResourceReplyMsg reply = shard.handle_resource_query(file);
-                  net_.send(mm_node, id_, net::MessageKind::kResourceReply,
-                            reply.estimated_size(), [this, id, file, holders = reply.holders] {
+                  ResourceReplyMsg reply = shard.handle_resource_query(file);
+                  const Bytes size = reply.estimated_size();
+                  net_.send(mm_node, id_, net::MessageKind::kResourceReply, size,
+                            [this, id, file, holders = std::move(reply.holders)] {
                               if (params_.holder_cache_ttl > SimTime::zero()) {
                                 holder_cache_[file] = CachedHolders{
                                     holders, sim_.now() + params_.holder_cache_ttl};
@@ -154,25 +159,24 @@ void DfsClient::explore(std::uint64_t id) {
 }
 
 void DfsClient::on_explore_timeout(std::uint64_t id) {
-  const auto it = negotiations_.find(id);
-  if (it == negotiations_.end() || it->second.expected_bids > 0 || it->second.evaluated) return;
+  const Negotiation* ng = negotiations_.find(id);
+  if (ng == nullptr || ng->expected_bids > 0 || ng->evaluated) return;
   ++counters_.bid_timeouts;
   finish(id, Status::unavailable("matchmaker unreachable"));
 }
 
 DfsClient::Negotiation* DfsClient::explored(std::uint64_t id) {
-  const auto it = negotiations_.find(id);
-  if (it == negotiations_.end()) return nullptr;
-  sim_.cancel(it->second.timeout_event);  // exploration finished in time
-  return &it->second;
+  Negotiation* ng = negotiations_.find(id);
+  if (ng != nullptr) sim_.cancel(ng->timeout_event);  // exploration finished in time
+  return ng;
 }
 
 void DfsClient::on_holders(std::uint64_t id, const std::vector<net::NodeId>& holders) {
   Negotiation* ng = explored(id);
   if (ng == nullptr) return;
   if (ng->kind == Kind::kHolders) {
-    HoldersReply reply = std::get<HoldersReply>(std::move(ng->reply));
-    negotiations_.erase(id);
+    HoldersReply reply = std::get<HoldersReply>(std::exchange(ng->reply, Callback{}));
+    negotiations_.close(id);
     if (reply) reply(holders);
     return;
   }
@@ -266,25 +270,24 @@ void DfsClient::send_cfps(std::uint64_t id, std::size_t count, TargetAt target_a
 }
 
 void DfsClient::on_bid(std::uint64_t id, std::uint32_t slot, const BidMsg& bid) {
-  const auto it = negotiations_.find(id);
-  if (it == negotiations_.end() || it->second.evaluated) return;  // late bid: drop
+  Negotiation* ng = negotiations_.find(id);
+  if (ng == nullptr || ng->evaluated) return;  // late bid: drop
   ++counters_.bids_received;
-  Negotiation& ng = it->second;
-  ng.bids.push_back(SlotBid{bid, slot});
-  if (ng.bids.size() == ng.expected_bids) {
-    sim_.cancel(ng.timeout_event);
+  ng->bids.push_back(SlotBid{bid, slot});
+  if (ng->bids.size() == ng->expected_bids) {
+    sim_.cancel(ng->timeout_event);
     evaluate(id);
   }
 }
 
 void DfsClient::on_bid_timeout(std::uint64_t id) {
-  const auto it = negotiations_.find(id);
-  if (it == negotiations_.end() || it->second.evaluated) return;
+  const Negotiation* ng = negotiations_.find(id);
+  if (ng == nullptr || ng->evaluated) return;
   ++counters_.bid_timeouts;
   if (obs_ != nullptr) {
     obs_->trace.instant(obs_track_, "bid_timeout", "ecnp",
-                        {obs::arg("file", static_cast<std::uint64_t>(it->second.file)),
-                         obs::arg("bids", static_cast<std::uint64_t>(it->second.bids.size()))});
+                        {obs::arg("file", static_cast<std::uint64_t>(ng->file)),
+                         obs::arg("bids", static_cast<std::uint64_t>(ng->bids.size()))});
   }
   // Decide on whatever arrived; unreachable RMs count as refusals.
   evaluate(id);
@@ -344,7 +347,8 @@ void DfsClient::select_read(std::uint64_t id, Negotiation& ng) {
   }
   const auto pick = policy_.choose_scored(ng.bids.size(), score_scratch_, rng_, select_scratch_);
   assert(pick.has_value());
-  const net::NodeId winner = ng.bids[*pick].bid.rm;
+  const auto index = static_cast<std::uint32_t>(*pick);
+  const net::NodeId winner = ng.bids[index].bid.rm;
 
   if (obs_ != nullptr) {
     // The negotiation span covers exploration + CFP fan-out + bid collection
@@ -358,7 +362,7 @@ void DfsClient::select_read(std::uint64_t id, Negotiation& ng) {
 
   const bool streamed = ng.kind == Kind::kRead;
   if (!streamed) sessions_.emplace(id, SessionInfo{winner, ng.file, write});
-  dispatch(winner, data_request(id, ng),
+  dispatch(ng, index, data_request(id, ng),
            streamed ? directory_.get(ng.file).duration() : SimTime::zero());
 }
 
@@ -392,7 +396,7 @@ void DfsClient::select_write(std::uint64_t id, Negotiation& ng) {
   ng.next_candidate = k;
   const DataRequestMsg request = data_request(id, ng);
   const SimTime expected = directory_.get(ng.file).duration();
-  for (std::uint32_t i = 0; i < k; ++i) dispatch(ng.bids[i].bid.rm, request, expected);
+  for (std::uint32_t i = 0; i < k; ++i) dispatch(ng, i, request, expected);
 }
 
 void DfsClient::select_ec(std::uint64_t id, Negotiation& ng) {
@@ -400,20 +404,24 @@ void DfsClient::select_ec(std::uint64_t id, Negotiation& ng) {
   // score. Ties — and the random policy, which has no score — fall back to
   // the lowest node id so the pick is deterministic across event orderings.
   const std::size_t n = static_cast<std::size_t>(ng.k) + ng.m;
-  std::vector<const BidMsg*> winner(n, nullptr);
-  for (const SlotBid& s : ng.bids) {
-    const BidMsg& b = s.bid;
-    const BidMsg*& best = winner[s.slot];
+  constexpr std::uint32_t kNoBid = ~std::uint32_t{0};
+  std::vector<std::uint32_t> winner(n, kNoBid);  // bid index per shard
+  for (std::uint32_t i = 0; i < ng.bids.size(); ++i) {
+    const BidMsg& b = ng.bids[i].bid;
+    std::uint32_t& best_index = winner[ng.bids[i].slot];
     if (!b.has_file) continue;
     if (!core::admits(params_.mode, b.info, ng.required)) continue;
-    if (best == nullptr) {
-      best = &b;
-    } else if (policy_.weights().is_random()) {
-      if (b.rm < best->rm) best = &b;
+    if (best_index == kNoBid) {
+      best_index = i;
+      continue;
+    }
+    const BidMsg& best = ng.bids[best_index].bid;
+    if (policy_.weights().is_random()) {
+      if (b.rm < best.rm) best_index = i;
     } else {
-      const double cur = policy_.score(best->info);
+      const double cur = policy_.score(best.info);
       const double alt = policy_.score(b.info);
-      if (alt > cur || (alt == cur && b.rm < best->rm)) best = &b;
+      if (alt > cur || (alt == cur && b.rm < best.rm)) best_index = i;
     }
   }
 
@@ -422,10 +430,10 @@ void DfsClient::select_ec(std::uint64_t id, Negotiation& ng) {
   // unreachable data shard and marks the read degraded (the client decodes
   // instead of concatenating).
   const auto k = static_cast<std::size_t>(ng.k);
-  std::vector<std::pair<std::size_t, net::NodeId>> chosen;
+  std::vector<std::pair<std::size_t, std::uint32_t>> chosen;  // (shard, bid index)
   chosen.reserve(k);
   for (std::size_t s = 0; s < n && chosen.size() < k; ++s) {
-    if (winner[s] != nullptr) chosen.emplace_back(s, winner[s]->rm);
+    if (winner[s] != kNoBid) chosen.emplace_back(s, winner[s]);
   }
   if (chosen.size() < k) {
     finish(id, Status::unavailable("stripe " + std::to_string(ng.file) + " lost: only " +
@@ -452,9 +460,9 @@ void DfsClient::select_ec(std::uint64_t id, Negotiation& ng) {
   ng.pending = static_cast<std::uint32_t>(chosen.size());
   DataRequestMsg request = data_request(id, ng);
   const SimTime expected = directory_.get(ng.file).duration();
-  for (const auto& [s, rm] : chosen) {
+  for (const auto& [s, index] : chosen) {
     request.file = storage::shard_key::pack(ng.file, s, ng.k, ng.m);
-    dispatch(rm, request, expected);
+    dispatch(ng, index, request, expected);
   }
 }
 
@@ -472,40 +480,49 @@ DataRequestMsg DfsClient::data_request(std::uint64_t id, const Negotiation& ng) 
   return request;
 }
 
-void DfsClient::dispatch(net::NodeId target, const DataRequestMsg& request, SimTime expected) {
-  ResourceManager* rm = rm_by_node(target);
-  assert(rm != nullptr);
+void DfsClient::dispatch(Negotiation& ng, std::uint32_t index, const DataRequestMsg& request,
+                         SimTime expected) {
+  SlotBid& chosen = ng.bids[index];
+  chosen.phase = Phase::kDispatched;
+  const net::NodeId target = chosen.bid.rm;
+  assert(rm_by_node(target) != nullptr);
 
   // Data-phase deadline: if the request or its completion is lost (network
   // partition, a holder crashing mid-transfer), the access must fail rather
-  // than hang. Whichever of the real completion and the deadline fires
-  // first wins.
-  auto settled = std::make_shared<bool>(false);
-  const auto settle = [this, settled, target, id = request.open_id](bool accepted) {
-    if (*settled) return;
-    *settled = true;
-    on_data_complete(id, target, accepted);
-  };
-  sim_.schedule_after(expected + params_.bid_timeout, [settle] { settle(false); });
+  // than hang. Whichever of the real completion and the deadline settles
+  // the dispatch first wins; the other finds it settled.
+  sim_.schedule_after(expected + params_.bid_timeout,
+                      [this, id = request.open_id, index] { settle(id, index, false); });
 
   net_.send(id_, target, net::MessageKind::kDataRequest, DataRequestMsg::estimated_size(),
-            [this, rm, request, settle] {
+            [this, request, target, index] {
+              ResourceManager* rm = rm_by_node(target);
               if (!rm->is_online()) {
                 // Connection refused: the RM died between bidding and the
                 // data request. Report the allocation as rejected.
-                net_.send(rm->node_id(), id_, net::MessageKind::kDataComplete,
-                          DataCompleteMsg::estimated_size(), [settle] { settle(false); });
+                net_.send(target, id_, net::MessageKind::kDataComplete,
+                          DataCompleteMsg::estimated_size(),
+                          [this, id = request.open_id, index] { settle(id, index, false); });
                 return;
               }
-              rm->handle_data_request(
-                  id_, request, [settle](const DataCompleteMsg& m) { settle(m.accepted); });
+              rm->handle_data_request(id_, request,
+                                      DataCompletion{&DfsClient::data_completed, this, index});
             });
 }
 
-void DfsClient::on_data_complete(std::uint64_t id, net::NodeId target, bool accepted) {
-  const auto it = negotiations_.find(id);
-  if (it == negotiations_.end()) return;
-  Negotiation& ng = it->second;
+void DfsClient::data_completed(void* self, std::uint32_t index, const DataCompleteMsg& msg) {
+  static_cast<DfsClient*>(self)->settle(msg.open_id, index, msg.accepted);
+}
+
+void DfsClient::settle(std::uint64_t id, std::uint32_t index, bool accepted) {
+  Negotiation* ng = negotiations_.find(id);
+  if (ng == nullptr || ng->bids[index].phase != Phase::kDispatched) return;
+  ng->bids[index].phase = Phase::kSettled;
+  on_data_complete(id, *ng, index, accepted);
+}
+
+void DfsClient::on_data_complete(std::uint64_t id, Negotiation& ng, std::uint32_t index,
+                                 bool accepted) {
   switch (ng.kind) {
     case Kind::kWrite:
       if (accepted) {
@@ -516,29 +533,24 @@ void DfsClient::on_data_complete(std::uint64_t id, net::NodeId target, bool acce
         // if the commit is lost to a partition, the bookkeeping still
         // completes on a deadline — the replica is durable and anti-entropy
         // (resource refresh) will register it.
-        auto settled = std::make_shared<bool>(false);
-        const auto copy_done = [this, settled, id] {
-          if (*settled) return;
-          *settled = true;
-          on_write_copy_done(id);
-        };
+        ng.bids[index].phase = Phase::kCommitting;
         ReplicationDoneMsg commit;
-        commit.rm = target;
+        commit.rm = ng.bids[index].bid.rm;
         commit.file = ng.file;
         MetadataManager& shard = mm_.shard_for(ng.file);
         net_.send(id_, mm_.node_for(ng.file), net::MessageKind::kReplicationDone,
-                  ReplicationDoneMsg::estimated_size(), [&shard, commit, copy_done] {
+                  ReplicationDoneMsg::estimated_size(), [this, &shard, commit, id, index] {
                     shard.handle_replication_done(commit);
-                    copy_done();
+                    on_commit(id, index);
                   });
-        sim_.schedule_after(params_.bid_timeout, copy_done);
+        sim_.schedule_after(params_.bid_timeout, [this, id, index] { on_commit(id, index); });
       } else if (ng.next_candidate < ng.bids.size()) {
         // Failover: the target rejected (raced allocation/space, or crashed)
         // — try the next-ranked candidate; the copy is still in flight.
-        const net::NodeId next = ng.bids[ng.next_candidate++].bid.rm;
-        dispatch(next, data_request(id, ng), directory_.get(ng.file).duration());
+        dispatch(ng, ng.next_candidate++, data_request(id, ng),
+                 directory_.get(ng.file).duration());
       } else {
-        on_write_copy_done(id);
+        on_write_copy_done(id, ng);
       }
       return;
 
@@ -585,10 +597,14 @@ void DfsClient::on_data_complete(std::uint64_t id, net::NodeId target, bool acce
   }
 }
 
-void DfsClient::on_write_copy_done(std::uint64_t id) {
-  const auto it = negotiations_.find(id);
-  if (it == negotiations_.end()) return;
-  Negotiation& ng = it->second;
+void DfsClient::on_commit(std::uint64_t id, std::uint32_t index) {
+  Negotiation* ng = negotiations_.find(id);
+  if (ng == nullptr || ng->bids[index].phase != Phase::kCommitting) return;
+  ng->bids[index].phase = Phase::kSettled;
+  on_write_copy_done(id, *ng);
+}
+
+void DfsClient::on_write_copy_done(std::uint64_t id, Negotiation& ng) {
   assert(ng.pending > 0);
   if (--ng.pending > 0) return;
   if (obs_ != nullptr) {
@@ -603,41 +619,42 @@ void DfsClient::on_write_copy_done(std::uint64_t id) {
 }
 
 void DfsClient::finish(std::uint64_t id, const Status& status) {
-  const auto it = negotiations_.find(id);
-  assert(it != negotiations_.end());
-  Negotiation ng = std::move(it->second);
-  negotiations_.erase(it);
+  Negotiation& ng = negotiations_.at(id);
+  const Kind kind = ng.kind;
+  const FileId file = ng.file;
+  auto reply = std::exchange(ng.reply, Callback{});
+  negotiations_.close(id);
   if (!status.is_ok()) {
-    switch (ng.kind) {
+    switch (kind) {
       case Kind::kWrite:
         ++counters_.writes_failed;
         break;
       case Kind::kHolders:
         break;
       default: {
-        const bool ec = ng.kind == Kind::kEcRead;
+        const bool ec = kind == Kind::kEcRead;
         ++counters_.opens_failed;
         if (ec) ++counters_.ec_failed_reads;
         if (obs_ != nullptr) {
           obs_->trace.instant(obs_track_, ec ? "ec_read_failed" : "open_failed", "ecnp",
-                              {obs::arg("file", static_cast<std::uint64_t>(ng.file)),
+                              {obs::arg("file", static_cast<std::uint64_t>(file)),
                                obs::arg("reason", to_string(status.code()))});
         }
         // A failed open may mean the cached holder list went stale (replicas
         // moved); drop it so the next open re-explores.
-        if (!ec) holder_cache_.erase(ng.file);
+        if (!ec) holder_cache_.erase(file);
         break;
       }
     }
   }
-  if (auto* done = std::get_if<Callback>(&ng.reply)) {
+  if (auto* done = std::get_if<Callback>(&reply)) {
     if (*done) (*done)(status);
-  } else if (auto* opened = std::get_if<Opened>(&ng.reply)) {
+  } else if (auto* opened = std::get_if<Opened>(&reply)) {
     if (*opened) {
       (*opened)(status.is_ok() ? Result<std::uint64_t>{id} : Result<std::uint64_t>{status});
     }
-  } else if (auto& reply = std::get<HoldersReply>(ng.reply)) {
-    reply(status);
+  } else if (auto& holders = std::get<HoldersReply>(reply)) {
+    holders(status);
   }
 }
 

@@ -109,7 +109,7 @@ void ResourceManager::sync_ledger() {
 }
 
 bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestMsg& msg,
-                                          std::function<void(const DataCompleteMsg&)> deliver_complete) {
+                                          DataCompletion done) {
   SQOS_EXCHANGE_SCOPE(domain_tag());
   ++counters_.data_requests;
   const ResolvedFile meta = resolve(msg.file);
@@ -117,12 +117,6 @@ bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestM
   // Tenant demand is NOT recorded here: the issuing client records it when
   // the access starts, so demand from failed negotiations (which never
   // produce a data request) still counts against the tenant's floor.
-
-  const auto send_complete = [this, client](DataCompleteMsg m,
-                                            std::function<void(const DataCompleteMsg&)> deliver) {
-    net_.send(id_, client, net::MessageKind::kDataComplete, DataCompleteMsg::estimated_size(),
-              [deliver = std::move(deliver), m] { deliver(m); });
-  };
 
   // Firm real-time: the RM performs the final admission so its allocation
   // never exceeds the cap even when concurrent negotiations raced on the
@@ -143,7 +137,7 @@ bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestM
     reject.open_id = msg.open_id;
     reject.file = msg.file;
     reject.accepted = false;
-    send_complete(reject, std::move(deliver_complete));
+    send_complete(client, reject, done);
     return false;
   }
   // Tenant token-bucket admission, after the firm/space check so a firm
@@ -160,7 +154,7 @@ bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestM
     reject.open_id = msg.open_id;
     reject.file = msg.file;
     reject.accepted = false;
-    send_complete(reject, std::move(deliver_complete));
+    send_complete(client, reject, done);
     return false;
   }
   if (msg.write) {
@@ -189,58 +183,69 @@ bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestM
   sync_ledger();
 
   if (msg.auto_complete) {
-    const SimTime duration = msg.rate.time_to_transfer(meta.size);
-    sim_.schedule_after(duration, [this, flow, msg, client, send_complete, epoch = epoch_,
-                                   started = now,
-                                   deliver = std::move(deliver_complete)]() mutable {
-      DataCompleteMsg done;
-      done.open_id = msg.open_id;
-      done.file = msg.file;
-      if (epoch != epoch_) {
-        // The RM crashed while the transfer was in flight: the allocation
-        // died with it, and fail() already rolled back any torn write.
-        done.accepted = false;
-      } else {
-        group_.remove_flow(flow);
-        sync_ledger();
-        const ResolvedFile m = resolve(msg.file);
-        if (msg.write) {
-          // The replica is now durable; it becomes visible to negotiation
-          // once the client commits it to the MM.
-          occupancy_.add_file(m.duration);
-          stored_at_[msg.file] = sim_.now();
-          pending_writes_.erase(msg.file);
-          ++counters_.writes_completed;
-        } else {
-          ++counters_.streams_completed;
-        }
-        done.accepted = true;
-        if (qos_ != nullptr) {
-          // Full file delivered; latency = admission-to-completion time.
-          qos_->on_complete(msg.tenant, m.size, sim_.now() - started);
-        }
-        if (obs_ != nullptr) {
-          obs_->trace.complete(obs_track_, "transfer", "flow", started,
-                               {obs::arg("file", static_cast<std::uint64_t>(msg.file)),
-                                obs::arg("kind", msg.write ? "write" : "read"),
-                                obs::arg("rate_mbps", msg.rate.as_mbps())});
-        }
-      }
-      send_complete(done, std::move(deliver));
-    });
+    const std::uint32_t transfer = transfers_.acquire();
+    transfers_[transfer] = Transfer{msg, client, flow, epoch_, now, done};
+    sim_.schedule_after(msg.rate.time_to_transfer(meta.size),
+                        [this, transfer] { finish_transfer(transfer); });
   } else {
     sessions_.emplace(session_key(client, msg.open_id), Session{flow, msg.file, msg.write});
     DataCompleteMsg ack;
     ack.open_id = msg.open_id;
     ack.file = msg.file;
     ack.accepted = true;
-    send_complete(ack, std::move(deliver_complete));
+    send_complete(client, ack, done);
   }
 
   // Serving this request may have pushed remaining bandwidth below B_TH —
   // the paper's replication trigger point (§V "when to replicate").
   if (agent_ != nullptr) agent_->maybe_trigger(*this);
   return true;
+}
+
+void ResourceManager::finish_transfer(std::uint32_t transfer) {
+  const Transfer t = transfers_[transfer];
+  transfers_.release(transfer);
+  const DataRequestMsg& msg = t.msg;
+  DataCompleteMsg done;
+  done.open_id = msg.open_id;
+  done.file = msg.file;
+  if (t.epoch != epoch_) {
+    // The RM crashed while the transfer was in flight: the allocation
+    // died with it, and fail() already rolled back any torn write.
+    done.accepted = false;
+  } else {
+    group_.remove_flow(t.flow);
+    sync_ledger();
+    const ResolvedFile m = resolve(msg.file);
+    if (msg.write) {
+      // The replica is now durable; it becomes visible to negotiation
+      // once the client commits it to the MM.
+      occupancy_.add_file(m.duration);
+      stored_at_[msg.file] = sim_.now();
+      pending_writes_.erase(msg.file);
+      ++counters_.writes_completed;
+    } else {
+      ++counters_.streams_completed;
+    }
+    done.accepted = true;
+    if (qos_ != nullptr) {
+      // Full file delivered; latency = admission-to-completion time.
+      qos_->on_complete(msg.tenant, m.size, sim_.now() - t.started);
+    }
+    if (obs_ != nullptr) {
+      obs_->trace.complete(obs_track_, "transfer", "flow", t.started,
+                           {obs::arg("file", static_cast<std::uint64_t>(msg.file)),
+                            obs::arg("kind", msg.write ? "write" : "read"),
+                            obs::arg("rate_mbps", msg.rate.as_mbps())});
+    }
+  }
+  send_complete(t.client, done, t.done);
+}
+
+void ResourceManager::send_complete(net::NodeId client, const DataCompleteMsg& msg,
+                                    DataCompletion done) {
+  net_.send(id_, client, net::MessageKind::kDataComplete, DataCompleteMsg::estimated_size(),
+            [done, msg] { done(msg); });
 }
 
 void ResourceManager::handle_release(net::NodeId client, const ReleaseMsg& msg) {

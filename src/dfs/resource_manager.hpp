@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,6 +27,7 @@
 #include "storage/stripe_layout.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/slot_pool.hpp"
 #include "util/domain.hpp"
 #include "util/domain_guard.hpp"
 
@@ -42,6 +42,21 @@ class QosManager;
 namespace sqos::dfs {
 
 class ReplicationAgent;
+
+/// Where an RM reports the outcome of a data request: a function pointer,
+/// the requester's context and a tag the requester chose. At 24 bytes it
+/// rides, with the DataCompleteMsg, inside one 48-byte event closure
+/// (sim::InlineFn), so reporting allocates nothing. The default discards the
+/// report.
+struct DataCompletion {
+  void (*fn)(void* context, std::uint32_t tag, const DataCompleteMsg& msg) = nullptr;
+  void* context = nullptr;
+  std::uint32_t tag = 0;
+
+  void operator()(const DataCompleteMsg& msg) const {
+    if (fn != nullptr) fn(context, tag, msg);
+  }
+};
 
 class SQOS_DOMAIN(rm) ResourceManager {
  public:
@@ -93,11 +108,11 @@ class SQOS_DOMAIN(rm) ResourceManager {
   SQOS_EXCHANGE [[nodiscard]] BidMsg handle_cfp(const CfpMsg& msg);
 
   /// Start the data-communication phase. Returns false when firm-mode
-  /// admission rejects (allocation would exceed the cap); the caller-provided
-  /// `deliver_complete` is sent over the network either immediately (reject,
-  /// or explicit-session ack) or when the streamed transfer finishes.
+  /// admission rejects (allocation would exceed the cap); `done` receives
+  /// the DataCompleteMsg over the network either immediately (reject, or
+  /// explicit-session ack) or when the streamed transfer finishes.
   SQOS_EXCHANGE bool handle_data_request(net::NodeId client, const DataRequestMsg& msg,
-                           std::function<void(const DataCompleteMsg&)> deliver_complete);
+                                         DataCompletion done);
 
   /// End an explicit (VFS) session.
   SQOS_EXCHANGE void handle_release(net::NodeId client, const ReleaseMsg& msg);
@@ -245,6 +260,19 @@ class SQOS_DOMAIN(rm) ResourceManager {
   /// Re-sync the allocation ledger after any flow change.
   void sync_ledger();
 
+  /// A streamed transfer in flight: what its completion event needs. The
+  /// event captures only the pool index, so it fits InlineFn's buffer.
+  struct Transfer {
+    DataRequestMsg msg;
+    net::NodeId client;
+    storage::FlowId flow{};
+    std::uint64_t epoch = 0;  // epoch_ at admission; a crash since aborts it
+    SimTime started;
+    DataCompletion done;
+  };
+  void finish_transfer(std::uint32_t transfer);
+  void send_complete(net::NodeId client, const DataCompleteMsg& msg, DataCompletion done);
+
   /// Session key combining client node and client-scoped open id.
   [[nodiscard]] static std::uint64_t session_key(net::NodeId client, std::uint64_t open_id) {
     return (static_cast<std::uint64_t>(client.value()) << 40) ^ open_id;
@@ -271,6 +299,7 @@ class SQOS_DOMAIN(rm) ResourceManager {
     bool write = false;
   };
   std::unordered_map<std::uint64_t, Session> sessions_;  // explicit (VFS) opens
+  util::SlotPool<Transfer> transfers_;                           // streamed, not yet complete
   std::unordered_set<FileId> pending_incoming_;                  // replication in flight
   std::unordered_set<FileId> pending_writes_;                    // reserved, not yet durable
   storage::FlowTable replication_lane_;                          // B_REV transfers

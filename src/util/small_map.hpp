@@ -1,12 +1,12 @@
 // SmallU64Map — an unordered_map replacement for tiny, hot key sets.
 //
-// The DFS client keys its in-flight negotiation state (opens, writes,
-// sessions, pending releases) by a 64-bit id. Each map holds a handful of
-// entries per client, but the *lookups* run once per delivered message —
-// millions of times per run — and std::unordered_map pays a hash, a modulo
-// and a cold bucket chase per find. A flat vector of (key, value) pairs with
-// linear scan beats that decisively at these sizes (the whole map is one or
-// two cache lines) and allocates nothing once warm.
+// The DFS client keys its explicit sessions and pending releases by a
+// 64-bit id. Each map holds a handful of entries per client, and
+// std::unordered_map pays a hash, a modulo and a cold bucket chase per find.
+// A flat vector of (key, value) pairs with linear scan beats that decisively
+// at these sizes (the whole map is one or two cache lines) and allocates
+// nothing once warm. In-flight negotiations number in the hundreds per
+// client; they live in util/inflight_table.hpp.
 //
 // Semantics match the subset of unordered_map the client uses: find/end,
 // at, emplace (no overwrite), erase by iterator or key. Erase is

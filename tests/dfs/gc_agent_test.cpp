@@ -80,8 +80,7 @@ TEST_F(GcAgentTest, RecentlyServedReplicaSurvives) {
     m.rate = cluster_->directory().get(1).bitrate;
     m.auto_complete = true;
     cluster_->simulator().schedule_at(SimTime::seconds(200.0), [this, rm, m] {
-      cluster_->rm(rm).handle_data_request(cluster_->client(0).node_id(), m,
-                                           [](const DataCompleteMsg&) {});
+      cluster_->rm(rm).handle_data_request(cluster_->client(0).node_id(), m, {});
     });
   }
   cluster_->gc().start(SimTime::seconds(500.0));

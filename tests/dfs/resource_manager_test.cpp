@@ -7,6 +7,16 @@
 namespace sqos::dfs {
 namespace {
 
+/// Report a data request's outcome to `on_done`, which must outlive the
+/// report.
+template <typename F>
+DataCompletion report_to(F& on_done) {
+  return {[](void* context, std::uint32_t, const DataCompleteMsg& m) {
+            (*static_cast<F*>(context))(m);
+          },
+          &on_done};
+}
+
 /// Drives one RM directly (no client), with the cluster supplying wiring.
 class ResourceManagerTest : public ::testing::Test {
  protected:
@@ -73,12 +83,12 @@ TEST_F(ResourceManagerTest, BidHasFileFalseWithoutReplica) {
 TEST_F(ResourceManagerTest, StreamAllocatesAndAutoCompletes) {
   ASSERT_TRUE(rm().place_replica(1).is_ok());
   bool completed = false;
-  const bool ok = rm().handle_data_request(
-      cluster_->client(0).node_id(), stream_request(1),
-      [&](const DataCompleteMsg& m) {
-        completed = true;
-        EXPECT_TRUE(m.accepted);
-      });
+  auto on_done = [&](const DataCompleteMsg& m) {
+    completed = true;
+    EXPECT_TRUE(m.accepted);
+  };
+  const bool ok = rm().handle_data_request(cluster_->client(0).node_id(), stream_request(1),
+                                           report_to(on_done));
   EXPECT_TRUE(ok);
   EXPECT_DOUBLE_EQ(rm().allocated().as_mbps(), 1.0);
   // File 1: 100 s at its bitrate.
@@ -96,12 +106,12 @@ TEST_F(ResourceManagerTest, FirmRejectsWhenOverCap) {
   ResourceManager& small = cluster_->rm(1);
   // file 4 streams at 4 Mbit/s: two fit under 10, the third does not.
   int rejects = 0;
+  auto on_done = [&](const DataCompleteMsg& done) {
+    if (!done.accepted) ++rejects;
+  };
   for (int i = 0; i < 3; ++i) {
     DataRequestMsg m = stream_request(4, static_cast<std::uint64_t>(i), /*firm=*/true);
-    small.handle_data_request(cluster_->client(0).node_id(), m,
-                              [&](const DataCompleteMsg& done) {
-                                if (!done.accepted) ++rejects;
-                              });
+    small.handle_data_request(cluster_->client(0).node_id(), m, report_to(on_done));
   }
   EXPECT_DOUBLE_EQ(small.allocated().as_mbps(), 8.0);
   EXPECT_EQ(small.counters().firm_rejects, 1u);
@@ -116,8 +126,7 @@ TEST_F(ResourceManagerTest, SoftModeOverAllocates) {
   ASSERT_TRUE(small.place_replica(4).is_ok());
   for (int i = 0; i < 4; ++i) {  // 4 x 4 Mbit/s = 16 on a 10 cap
     small.handle_data_request(cluster_->client(0).node_id(),
-                              stream_request(4, static_cast<std::uint64_t>(i)),
-                              [](const DataCompleteMsg&) {});
+                              stream_request(4, static_cast<std::uint64_t>(i)), {});
   }
   EXPECT_DOUBLE_EQ(small.allocated().as_mbps(), 16.0);
   sim().run();
@@ -127,8 +136,7 @@ TEST_F(ResourceManagerTest, SoftModeOverAllocates) {
 
 TEST_F(ResourceManagerTest, HistoryAndHeatRecordOnServe) {
   ASSERT_TRUE(rm().place_replica(1).is_ok());
-  rm().handle_data_request(cluster_->client(0).node_id(), stream_request(1),
-                           [](const DataCompleteMsg&) {});
+  rm().handle_data_request(cluster_->client(0).node_id(), stream_request(1), {});
   EXPECT_EQ(rm().heat().total_accesses(), 1u);
   EXPECT_EQ(rm().heat().accesses(1), 1u);
 }
@@ -138,10 +146,11 @@ TEST_F(ResourceManagerTest, ExplicitSessionHoldsUntilRelease) {
   DataRequestMsg m = stream_request(1, 77);
   m.auto_complete = false;
   bool acked = false;
-  rm().handle_data_request(cluster_->client(0).node_id(), m, [&](const DataCompleteMsg& ack) {
+  auto on_ack = [&](const DataCompleteMsg& ack) {
     acked = true;
     EXPECT_TRUE(ack.accepted);
-  });
+  };
+  rm().handle_data_request(cluster_->client(0).node_id(), m, report_to(on_ack));
   sim().run();  // long after the nominal duration
   EXPECT_TRUE(acked);
   EXPECT_DOUBLE_EQ(rm().allocated().as_mbps(), 1.0);  // still held
@@ -218,8 +227,7 @@ TEST_F(ResourceManagerTest, AbortReplicationRollsBack) {
 
 TEST_F(ResourceManagerTest, DeleteReplicaClearsAllState) {
   ASSERT_TRUE(rm().place_replica(1).is_ok());
-  rm().handle_data_request(cluster_->client(0).node_id(), stream_request(1),
-                           [](const DataCompleteMsg&) {});
+  rm().handle_data_request(cluster_->client(0).node_id(), stream_request(1), {});
   ASSERT_TRUE(rm().delete_replica(1).is_ok());
   EXPECT_FALSE(rm().has_replica(1));
   EXPECT_EQ(rm().occupation().file_count(), 0u);
