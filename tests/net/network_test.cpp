@@ -65,9 +65,41 @@ TEST(Network, AccountsPerKindAndPerNode) {
   EXPECT_EQ(net.stats().count(MessageKind::kBid), 1u);
 
   EXPECT_EQ(net.node_sent(a).total_messages, 2u);
+  EXPECT_EQ(net.node_sent(a).total_bytes, 150u);
   EXPECT_EQ(net.node_received(a).total_messages, 1u);
-  EXPECT_EQ(net.node_sent(b).count(MessageKind::kBid), 1u);
-  EXPECT_EQ(net.node_received(b).bytes(MessageKind::kCfp), 150u);
+  EXPECT_EQ(net.node_received(a).total_bytes, 10u);
+  EXPECT_EQ(net.node_sent(b).total_messages, 1u);
+  EXPECT_EQ(net.node_sent(b).total_bytes, 10u);
+  EXPECT_EQ(net.node_received(b).total_messages, 2u);
+  EXPECT_EQ(net.node_received(b).total_bytes, 150u);
+}
+
+TEST(Network, CutLinkCountsTheSenderButNotTheReceiver) {
+  sim::Simulator sim;
+  Network net{sim, fixed_latency()};
+  const NodeId a = net.register_node("a");
+  const NodeId b = net.register_node("b");
+  net.set_link_down(a, b);
+  bool delivered = false;
+  net.send(a, b, MessageKind::kCfp, Bytes::of(40), [&] { delivered = true; });
+  sim.run();
+
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(net.stats().total_messages, 1u);
+  EXPECT_EQ(net.stats().dropped_messages, 1u);
+  EXPECT_EQ(net.node_sent(a).total_messages, 1u);
+  EXPECT_EQ(net.node_sent(a).total_bytes, 40u);
+  EXPECT_EQ(net.node_received(b).total_messages, 0u);
+  EXPECT_EQ(net.node_received(b).total_bytes, 0u);
+
+  net.set_link_up(a, b);
+  net.send(a, b, MessageKind::kCfp, Bytes::of(40), [&] { delivered = true; });
+  sim.run();
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(net.stats().dropped_messages, 1u);
+  EXPECT_EQ(net.node_sent(a).total_messages, 2u);
+  EXPECT_EQ(net.node_received(b).total_messages, 1u);
+  EXPECT_EQ(net.node_received(b).total_bytes, 40u);
 }
 
 TEST(Network, ResetStatsKeepsTopology) {
@@ -81,6 +113,30 @@ TEST(Network, ResetStatsKeepsTopology) {
   EXPECT_EQ(net.stats().total_messages, 0u);
   EXPECT_EQ(net.node_sent(a).total_messages, 0u);
   EXPECT_EQ(net.node_count(), 2u);
+}
+
+TEST(Network, ResetStatsZeroesPerNodeTotals) {
+  sim::Simulator sim;
+  Network net{sim, fixed_latency()};
+  const NodeId a = net.register_node("a");
+  const NodeId b = net.register_node("b");
+  net.send(a, b, MessageKind::kCfp, Bytes::of(30), [] {});
+  net.send(b, a, MessageKind::kBid, Bytes::of(20), [] {});
+  sim.run();
+  ASSERT_EQ(net.node_sent(a).total_bytes, 30u);  // read before the reset
+  net.send(a, b, MessageKind::kCfp, Bytes::of(5), [] {});  // pending at the reset
+  net.reset_stats();
+  sim.run();
+
+  for (const NodeId n : {a, b}) {
+    EXPECT_EQ(net.node_sent(n).total_messages, 0u);
+    EXPECT_EQ(net.node_sent(n).total_bytes, 0u);
+    EXPECT_EQ(net.node_received(n).total_messages, 0u);
+    EXPECT_EQ(net.node_received(n).total_bytes, 0u);
+  }
+  net.send(b, a, MessageKind::kBid, Bytes::of(7), [] {});
+  EXPECT_EQ(net.node_sent(b).total_messages, 1u);
+  EXPECT_EQ(net.node_received(a).total_bytes, 7u);
 }
 
 TEST(Network, MessagesPreserveCausality) {
