@@ -6,18 +6,7 @@
 
 namespace sqos::net {
 
-namespace {
-// Typical cluster sizes fit comfortably; pre-sizing keeps registration from
-// re-copying the (large) per-node stat blocks as the topology grows.
-constexpr std::size_t kExpectedNodes = 64;
-}  // namespace
-
 NodeId Network::register_node(std::string name) {
-  if (names_.empty()) {
-    names_.reserve(kExpectedNodes);
-    sent_.reserve(kExpectedNodes);
-    received_.reserve(kExpectedNodes);
-  }
   const NodeId id{static_cast<std::uint32_t>(names_.size())};
   names_.push_back(std::move(name));
   sent_.emplace_back();
@@ -37,28 +26,13 @@ void Network::set_link_up(NodeId a, NodeId b) { down_links_.erase(link_key(a, b)
 
 bool Network::link_up(NodeId a, NodeId b) const { return !down_links_.contains(link_key(a, b)); }
 
-void Network::fold_pending() const {
-  for (const LogRecord& r : sent_log_) {
-    account(sent_[r.node], static_cast<MessageKind>(r.kind),
-            Bytes::of(static_cast<std::int64_t>(r.bytes)));
-  }
-  sent_log_.clear();
-  for (const LogRecord& r : received_log_) {
-    account(received_[r.node], static_cast<MessageKind>(r.kind),
-            Bytes::of(static_cast<std::int64_t>(r.bytes)));
-  }
-  received_log_.clear();
-}
-
-const TrafficStats& Network::node_sent(NodeId id) const {
+const NodeTraffic& Network::node_sent(NodeId id) const {
   assert(id.value() < sent_.size());
-  fold_pending();
   return sent_[id.value()];
 }
 
-const TrafficStats& Network::node_received(NodeId id) const {
+const NodeTraffic& Network::node_received(NodeId id) const {
   assert(id.value() < received_.size());
-  fold_pending();
   return received_[id.value()];
 }
 
@@ -69,10 +43,8 @@ const std::string& Network::node_name(NodeId id) const {
 
 void Network::reset_stats() {
   stats_ = TrafficStats{};
-  sent_log_.clear();
-  received_log_.clear();
-  for (auto& s : sent_) s = TrafficStats{};
-  for (auto& s : received_) s = TrafficStats{};
+  std::fill(sent_.begin(), sent_.end(), NodeTraffic{});
+  std::fill(received_.begin(), received_.end(), NodeTraffic{});
 }
 
 }  // namespace sqos::net

@@ -2,13 +2,15 @@
 //
 // Components register a NodeId; messages are delivered as simulator events
 // after a sampled latency, carrying their typed payload in the delivery
-// closure. The network keeps complete per-kind and per-node traffic
-// statistics — the measurement substrate for the ECNP-vs-CNP ablation.
+// closure. The network counts messages and bytes per kind globally, and per
+// node as totals only — the measurement substrate for the ECNP-vs-CNP
+// ablation (per-kind counts) and the MM shards' received totals.
 //
 // send() is on the hot path of every negotiation round: the delivery closure
 // is move-only (it rides the kernel's InlineFn small-buffer storage, so a
-// typical payload capture costs no allocation), per-node stats live in flat
-// vectors indexed by NodeId, and the partition check short-circuits when no
+// typical payload capture costs no allocation), every counter is updated in
+// place in flat vectors indexed by NodeId (16 bytes per node per direction,
+// so no per-message memory), and the partition check short-circuits when no
 // link is down (the overwhelmingly common case).
 #pragma once
 
@@ -43,6 +45,12 @@ struct TrafficStats {
   }
 };
 
+/// A node's traffic in one direction.
+struct NodeTraffic {
+  std::uint64_t total_messages = 0;
+  std::uint64_t total_bytes = 0;
+};
+
 class SQOS_DOMAIN(global) Network {
  public:
   Network(sim::Simulator& simulator, LatencyModel latency)
@@ -63,19 +71,12 @@ class SQOS_DOMAIN(global) Network {
     assert(from.value() < names_.size());
     assert(to.value() < names_.size());
     account(stats_, kind, size);
-    // Per-node accounting is deferred: at 10^5 nodes the sender/receiver
-    // stat blocks are two random cache misses per send, so the hot path
-    // appends to a sequential log instead and the blocks are updated in one
-    // batched pass when somebody actually reads them (fold_pending). The
-    // folded values are sums, so the result is identical to eager updates.
-    sent_log_.push_back(LogRecord{from.value(), static_cast<std::uint32_t>(kind),
-                                  static_cast<std::uint64_t>(size.count())});
+    count(sent_[from.value()], size);
     if (!down_links_.empty() && !link_up(from, to)) {
       ++stats_.dropped_messages;
       return;  // lost on the partition; the sender learns via its timeout
     }
-    received_log_.push_back(LogRecord{to.value(), static_cast<std::uint32_t>(kind),
-                                      static_cast<std::uint64_t>(size.count())});
+    count(received_[to.value()], size);
     sim_.schedule_after(latency_.sample(size), std::move(on_deliver));
   }
 
@@ -87,8 +88,8 @@ class SQOS_DOMAIN(global) Network {
   [[nodiscard]] bool link_up(NodeId a, NodeId b) const;
 
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
-  [[nodiscard]] const TrafficStats& node_sent(NodeId id) const;
-  [[nodiscard]] const TrafficStats& node_received(NodeId id) const;
+  [[nodiscard]] const NodeTraffic& node_sent(NodeId id) const;
+  [[nodiscard]] const NodeTraffic& node_received(NodeId id) const;
   [[nodiscard]] const std::string& node_name(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const { return names_.size(); }
 
@@ -108,30 +109,19 @@ class SQOS_DOMAIN(global) Network {
     s.total_bytes += static_cast<std::uint64_t>(size.count());
   }
 
+  static void count(NodeTraffic& t, Bytes size) {
+    ++t.total_messages;
+    t.total_bytes += static_cast<std::uint64_t>(size.count());
+  }
+
   [[nodiscard]] static std::uint64_t link_key(NodeId a, NodeId b);
-
-  struct LogRecord {
-    std::uint32_t node;
-    std::uint32_t kind;
-    std::uint64_t bytes;
-  };
-
-  /// Apply every pending log record to the per-node stat tables and clear
-  /// the logs. Values are order-independent sums, so folding lazily yields
-  /// exactly the eager result. Only node_sent/node_received fold (and
-  /// reset_stats clears): send never does, so until someone reads per-node
-  /// stats the logs grow by one 16-byte record per sent and per delivered
-  /// message — ~67 MB of the 2048-RM scale cell's peak RSS (ROADMAP item 2).
-  void fold_pending() const;
 
   sim::Simulator& sim_;
   LatencyModel latency_;
   TrafficStats stats_;
   std::vector<std::string> names_;
-  mutable std::vector<TrafficStats> sent_;
-  mutable std::vector<TrafficStats> received_;
-  mutable std::vector<LogRecord> sent_log_;
-  mutable std::vector<LogRecord> received_log_;
+  std::vector<NodeTraffic> sent_;
+  std::vector<NodeTraffic> received_;
   std::unordered_set<std::uint64_t> down_links_;
 };
 

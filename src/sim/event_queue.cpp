@@ -13,6 +13,17 @@ EventQueue::EventQueue() {
   nodes_.reserve(kInitialRecords);
 }
 
+void EventQueue::reserve(std::size_t n) {
+  // Every slot is live or free, every node linked or free, and pushes reuse
+  // free ones first: n pushes need at most live_ + n slots and
+  // ring_records_ + n nodes. Rounding up to a power of two lands on the
+  // capacity push_back's doubling would have reached, so the pushes that
+  // follow the batch keep their amortised headroom: an exact reserve would
+  // make the first of them move every slot.
+  slots_.reserve(std::bit_ceil(live_ + n));
+  nodes_.reserve(std::bit_ceil(ring_records_ + n));
+}
+
 EventId EventQueue::push(SimTime t, EventFn fn) {
   std::uint32_t index = 0;
   if (!free_slots_.empty()) {

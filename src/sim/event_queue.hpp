@@ -70,6 +70,12 @@ class SQOS_DOMAIN(owner) EventQueue {
   /// Schedule `fn` at time `t`; returns the handle used for cancel().
   EventId push(SimTime t, EventFn fn);
 
+  /// Make room for `n` more pending events in one step: the slot vector and
+  /// the ring's node pool grow here, once, instead of doubling (and moving
+  /// every slot's callback) while a large batch is pushed. Records headed for
+  /// the heap or the overflow heap are not reserved.
+  void reserve(std::size_t n);
+
   /// Pop the earliest non-cancelled event; returns false when empty.
   [[nodiscard]] bool pop(Event& out);
 

@@ -34,6 +34,10 @@ class SQOS_DOMAIN(global) Simulator {
   /// Schedule `fn` after a non-negative delay.
   SQOS_EXCHANGE EventId schedule_after(SimTime delay, EventFn fn);
 
+  /// Make room for `n` more pending events (see EventQueue::reserve); for
+  /// callers that schedule a large batch up front.
+  void reserve(std::size_t n) { queue_.reserve(n); }
+
   /// Cancel a pending event. Returns false if it already fired or was
   /// cancelled before.
   SQOS_EXCHANGE bool cancel(EventId id);

@@ -5,6 +5,7 @@ namespace sqos::workload {
 void RequestScheduler::schedule(SimTime start) {
   sim::Simulator& sim = cluster_.simulator();
   const std::size_t clients = cluster_.client_count();
+  sim.reserve(pattern_.size());
   for (const AccessEvent& event : pattern_) {
     const std::size_t client_index = user_map_ ? user_map_(event.user) % clients
                                                : event.user % clients;

@@ -1,23 +1,30 @@
-// Allocation budget of the streamed-read hot path.
+// Allocation budgets of the hot paths.
 //
 // This executable replaces the global operator new with a counting one, so
-// it is its own test binary: no other test pays for the counter. It builds a
-// fixed small soft-mode cluster (64 RMs, Rep(1,3), policy (1,0,0), the
-// scale cell's shape in miniature), runs the arrival window and the drain,
-// and bounds the heap allocations of that run phase per streamed read. The
-// count is a property of the code and the standard library, not of the
+// it is its own test binary: no other test pays for the counter. The main
+// test builds a fixed small soft-mode cluster (64 RMs, Rep(1,3), policy
+// (1,0,0), the scale cell's shape in miniature), runs the arrival window and
+// the drain, and bounds the heap allocations of that run phase per streamed
+// read. The others hold that network traffic costs no memory per message
+// and that filing an arrival pattern reserves the event queue once. The
+// counts are a property of the code and the standard library, not of the
 // machine or its timing, so a hot-path regression fails deterministically.
-// The bound holds in Release and Debug builds alike.
+// The bounds hold in Release and Debug builds alike.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/qos_types.hpp"
 #include "core/replication_config.hpp"
 #include "dfs/cluster.hpp"
 #include "exp/paper_setup.hpp"
+#include "net/network.hpp"
+#include "sim/simulator.hpp"
+#include "testing/test_cluster.hpp"
 #include "util/rng.hpp"
 #include "workload/access_pattern.hpp"
 #include "workload/placement.hpp"
@@ -116,6 +123,60 @@ TEST(AllocBudget, StreamedReadStaysWithinBudget) {
   RecordProperty("allocs_per_read", std::to_string(per_read));
   EXPECT_LE(per_read, kAllocsPerReadBudget)
       << run_allocs << " allocations over " << scheduler.dispatched() << " streamed reads";
+}
+
+TEST(AllocBudget, SecondWaveOfSendsDoesNotAllocate) {
+  constexpr std::uint64_t kWave = 10'000;
+  sim::Simulator sim;
+  net::LatencyModel::Params params;
+  params.jitter_mean = SimTime::zero();
+  net::Network net{sim, net::LatencyModel{params, Rng{1}}};
+  const net::NodeId a = net.register_node("a");
+  const net::NodeId b = net.register_node("b");
+  std::uint64_t delivered = 0;
+  const auto wave = [&] {
+    for (std::uint64_t i = 0; i < kWave; ++i) {
+      net.send(a, b, net::MessageKind::kCfp, Bytes::of(64), [&delivered] { ++delivered; });
+    }
+    sim.run();
+  };
+
+  wave();  // grows the event queue to the wave's size
+  const std::uint64_t before = g_allocations;
+  wave();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(delivered, 2 * kWave);
+  EXPECT_EQ(net.node_sent(a).total_messages, 2 * kWave);
+  EXPECT_EQ(net.node_received(b).total_bytes, 2 * kWave * 64);
+}
+
+/// Heap allocations RequestScheduler::schedule makes filing `arrivals`
+/// requests, spread evenly over a 300 s window, into a started cluster.
+std::uint64_t schedule_allocations(std::size_t arrivals) {
+  std::unique_ptr<dfs::Cluster> cluster = testing::make_small_cluster();
+  cluster->start();
+  std::vector<workload::AccessEvent> pattern;
+  pattern.reserve(arrivals);
+  for (std::size_t i = 0; i < arrivals; ++i) {
+    pattern.push_back(workload::AccessEvent{
+        SimTime::micros(static_cast<std::int64_t>(i * 300'000'000 / arrivals)),
+        static_cast<std::uint32_t>(i), static_cast<dfs::FileId>(1 + i % 4)});
+  }
+  workload::RequestScheduler scheduler{*cluster, std::move(pattern)};
+  const std::uint64_t before = g_allocations;
+  scheduler.schedule();
+  return g_allocations - before;
+}
+
+TEST(AllocBudget, ScheduleAllocationsDoNotGrowWithArrivals) {
+  // Both sizes exceed the queue's up-front record reserve, so each must grow
+  // the slot vector and the ring's node pool: one allocation each when the
+  // schedule reserves, one per power of two when they double.
+  static_assert(sim::EventQueue::kInitialRecords < 8'192);
+  const std::uint64_t small = schedule_allocations(8'192);
+  const std::uint64_t large = schedule_allocations(65'536);
+  EXPECT_EQ(large, small);
+  EXPECT_LE(small, 2u);
 }
 
 }  // namespace
